@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test tier1 vet race fuzz chaos elastic-chaos obs jobs bench cluster gate stat durable kernels lint-metrics ci
+.PHONY: build test tier1 vet race fuzz chaos elastic-chaos obs jobs bench perfbench cluster gate stat durable kernels lint-metrics ci
 
 build:
 	$(GO) build ./...
@@ -47,8 +47,6 @@ jobs:
 # fuzz runs each wire-codec fuzz target for a short budget on top of the
 # committed corpus (which plain `go test` already replays).
 fuzz:
-	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzWireDecode -fuzztime 10s
-	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzWireRoundTrip -fuzztime 10s
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzBinaryDecode -fuzztime 10s
 	$(GO) test ./internal/transport/ -run xxx -fuzz FuzzBinaryRoundTrip -fuzztime 10s
 
@@ -58,6 +56,12 @@ fuzz:
 bench:
 	$(GO) test ./internal/transport/ -run xxx -bench 'BenchmarkCodec' -benchtime 100x
 	$(GO) test ./internal/tensor/ -run xxx -bench 'BenchmarkMatMul' -benchtime 100x
+
+# perfbench vets and tests the benchmark harness. It is its own module,
+# so `go test ./...` never compiles it; this catches a root API change
+# that would break the benchmark.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # cluster smoke-runs the cluster-mode experiment (100-job Poisson trace
 # against a TokenDelay pool, one pass per scheduling configuration) and
@@ -114,7 +118,8 @@ lint-metrics:
 	$(GO) test ./cmd/felastat/ -run TestFelastatLiveTwoShardCluster -count=1
 
 # ci is the full gate: tier-1, static analysis, race detector, the
-# multi-tenant suite, the benchmark smoke pass, the cluster-mode smoke
-# run, the serving-gateway suite, the observability aggregator, the
-# durability plane, and the compute-kernel/compression suite.
-ci: tier1 vet race jobs bench cluster gate stat durable kernels
+# multi-tenant suite, the benchmark smoke pass, the benchmark harness,
+# the cluster-mode smoke run, the serving-gateway suite, the
+# observability aggregator, the durability plane, and the
+# compute-kernel/compression suite.
+ci: tier1 vet race jobs bench perfbench cluster gate stat durable kernels

@@ -19,13 +19,12 @@ import (
 // The wire benchmark measures the fast path the binary codec was built
 // for: serializing VGG-scale parameter broadcasts. VGG-16 carries about
 // 138M float32 parameters; the full run uses 1/8 of that (a 69 MB
-// frame) so a gob baseline still finishes in seconds, quick mode 1/64.
+// frame), quick mode 1/64.
 const vggParams = 138_000_000
 
-// wireCodecEntry is one (codec, kind) microbenchmark: ns and heap bytes
-// per encode and per decode of a representative frame.
+// wireCodecEntry is one per-kind binary codec microbenchmark: ns and
+// heap bytes per encode and per decode of a representative frame.
 type wireCodecEntry struct {
-	Codec      string  `json:"codec"`
 	Kind       string  `json:"kind"`
 	Floats     int     `json:"floats"`
 	FrameBytes int     `json:"frame_bytes"`
@@ -37,7 +36,6 @@ type wireCodecEntry struct {
 
 // wireSessionEntry is one end-to-end 4-worker TCP training session.
 type wireSessionEntry struct {
-	Codec        string  `json:"codec"`
 	Workers      int     `json:"workers"`
 	Iterations   int     `json:"iterations"`
 	Seconds      float64 `json:"seconds"`
@@ -81,14 +79,8 @@ type compressSessionEntry struct {
 	BitIdentical bool `json:"bit_identical"`
 }
 
-// wireSummary states the acceptance ratios on the iter-start frame plus
-// the kernel and compression headlines.
+// wireSummary states the kernel and compression headlines.
 type wireSummary struct {
-	Kind             string  `json:"kind"`
-	EncodeSpeedup    float64 `json:"encode_speedup"`
-	DecodeSpeedup    float64 `json:"decode_speedup"`
-	EncodeAllocRatio float64 `json:"encode_alloc_ratio"`
-	DecodeAllocRatio float64 `json:"decode_alloc_ratio"`
 	// Cores is GOMAXPROCS during the run; KernelSpeedup is serial over
 	// parallel ns/op at the largest matmul shape (≈1 when Cores == 1).
 	Cores         int     `json:"cores"`
@@ -106,7 +98,7 @@ type wireBenchReport struct {
 	TimeStamp string                 `json:"timestamp"`
 	Codec     []wireCodecEntry       `json:"codec_micro"`
 	Kernels   []kernelBenchEntry     `json:"kernel_micro"`
-	Sessions  []wireSessionEntry     `json:"sessions"`
+	Session   wireSessionEntry       `json:"session"`
 	Compress  []compressSessionEntry `json:"compress_sessions"`
 	Summary   wireSummary            `json:"summary"`
 }
@@ -130,7 +122,7 @@ func wireIterStart(n int) *transport.Message {
 	return &transport.Message{Kind: transport.KindIterStart, Iter: 5, Params: chunks}
 }
 
-// wireMessages are the frames measured per codec: the bulk broadcast,
+// wireMessages are the frames measured: the bulk broadcast,
 // a gradient report (1/100 of the broadcast: one token's slice), and
 // the two tiny control frames.
 func wireMessages(scale int) []*transport.Message {
@@ -149,7 +141,7 @@ func wireMessages(scale int) []*transport.Message {
 // measure times fn over iters runs (after one warm-up call) and returns
 // wall ns/op and heap bytes/op from the runtime's TotalAlloc delta.
 func measure(iters int, fn func() error) (nsOp, bOp float64, err error) {
-	if err := fn(); err != nil { // warm up pools and gob type state
+	if err := fn(); err != nil { // warm up pools
 		return 0, 0, err
 	}
 	runtime.GC()
@@ -167,9 +159,9 @@ func measure(iters int, fn func() error) (nsOp, bOp float64, err error) {
 		float64(m1.TotalAlloc-m0.TotalAlloc) / float64(iters), nil
 }
 
-// benchCodecKind measures encode and decode of m under one codec.
-func benchCodecKind(codec string, m *transport.Message, iters int) (wireCodecEntry, error) {
-	e := wireCodecEntry{Codec: codec, Kind: m.Kind.String()}
+// benchCodecKind measures binary encode and decode of m.
+func benchCodecKind(m *transport.Message, iters int) (wireCodecEntry, error) {
+	e := wireCodecEntry{Kind: m.Kind.String()}
 	for _, p := range m.Params {
 		e.Floats += len(p)
 	}
@@ -177,57 +169,34 @@ func benchCodecKind(codec string, m *transport.Message, iters int) (wireCodecEnt
 		e.Floats += len(g)
 	}
 
-	var frame []byte
-	var encode, decode func() error
-	switch codec {
-	case transport.CodecBinary:
-		// The pooled path tcpConn.Send really runs.
-		encode = func() error {
-			buf, err := transport.EncodeBinaryPooled(m)
-			if err != nil {
-				return err
-			}
-			transport.ReleaseFrame(buf)
-			return nil
-		}
-		var err error
-		frame, err = transport.EncodeBinary(m)
+	// The pooled path tcpConn.Send really runs.
+	encode := func() error {
+		buf, err := transport.EncodeBinaryPooled(m)
 		if err != nil {
-			return e, err
-		}
-		decode = func() error {
-			got, err := transport.DecodeBinary(frame)
-			if err != nil {
-				return err
-			}
-			got.Release()
-			return nil
-		}
-	case transport.CodecGob:
-		encode = func() error {
-			_, err := transport.EncodeFrame(m)
 			return err
 		}
-		var err error
-		frame, err = transport.EncodeFrame(m)
+		transport.ReleaseFrame(buf)
+		return nil
+	}
+	frame, err := transport.EncodeBinary(m)
+	if err != nil {
+		return e, err
+	}
+	decode := func() error {
+		got, err := transport.DecodeBinary(frame)
 		if err != nil {
-			return e, err
-		}
-		decode = func() error {
-			_, err := transport.DecodeFrame(frame)
 			return err
 		}
-	default:
-		return e, fmt.Errorf("wire bench: unknown codec %q", codec)
+		got.Release()
+		return nil
 	}
 	e.FrameBytes = len(frame)
 
-	var err error
 	if e.EncodeNsOp, e.EncodeBOp, err = measure(iters, encode); err != nil {
-		return e, fmt.Errorf("wire bench: %s encode %s: %w", codec, e.Kind, err)
+		return e, fmt.Errorf("wire bench: encode %s: %w", e.Kind, err)
 	}
 	if e.DecodeNsOp, e.DecodeBOp, err = measure(iters, decode); err != nil {
-		return e, fmt.Errorf("wire bench: %s decode %s: %w", codec, e.Kind, err)
+		return e, fmt.Errorf("wire bench: decode %s: %w", e.Kind, err)
 	}
 	return e, nil
 }
@@ -363,12 +332,12 @@ func runCompressSession(comp transport.Compression, par int, quick bool, ref *rt
 }
 
 // runWireSession trains the shared rt bench workload end to end over
-// real TCP under the named codec and reports tokens/sec.
-func runWireSession(codec string, quick bool, ref *rt.Result) (wireSessionEntry, error) {
+// real TCP and reports tokens/sec.
+func runWireSession(quick bool, ref *rt.Result) (wireSessionEntry, error) {
 	cfg := rtBenchConfig(quick)
-	e := wireSessionEntry{Codec: codec, Workers: cfg.Workers, Iterations: cfg.Iterations}
+	e := wireSessionEntry{Workers: cfg.Workers, Iterations: cfg.Iterations}
 
-	l, err := transport.ListenCodec("127.0.0.1:0", codec)
+	l, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		return e, err
 	}
@@ -391,7 +360,7 @@ func runWireSession(codec string, quick bool, ref *rt.Result) (wireSessionEntry,
 	for wid := 0; wid < cfg.Workers; wid++ {
 		wid := wid
 		go func() {
-			c, err := transport.DialCodec(l.Addr(), codec)
+			c, err := transport.Dial(l.Addr())
 			if err != nil {
 				workerErrs <- err
 				return
@@ -440,29 +409,16 @@ func runWireBench(quick bool, path string, out func(string)) error {
 		TimeStamp: time.Now().UTC().Format(time.RFC3339),
 	}
 
-	msgs := wireMessages(scale)
-	for _, codec := range []string{transport.CodecBinary, transport.CodecGob} {
-		for _, m := range msgs {
-			iters := bulkIters
-			if m.Kind == transport.KindAssign || m.Kind == transport.KindRequest {
-				iters = 10_000 // control frames are sub-microsecond
-			}
-			e, err := benchCodecKind(codec, m, iters)
-			if err != nil {
-				return err
-			}
-			report.Codec = append(report.Codec, e)
+	for _, m := range wireMessages(scale) {
+		iters := bulkIters
+		if m.Kind == transport.KindAssign || m.Kind == transport.KindRequest {
+			iters = 10_000 // control frames are sub-microsecond
 		}
-	}
-
-	// Acceptance ratios on the iter-start frame (entry 0 per codec).
-	bin, gob := report.Codec[0], report.Codec[len(msgs)]
-	report.Summary = wireSummary{
-		Kind:             bin.Kind,
-		EncodeSpeedup:    ratio(gob.EncodeNsOp, bin.EncodeNsOp),
-		DecodeSpeedup:    ratio(gob.DecodeNsOp, bin.DecodeNsOp),
-		EncodeAllocRatio: ratio(gob.EncodeBOp, bin.EncodeBOp),
-		DecodeAllocRatio: ratio(gob.DecodeBOp, bin.DecodeBOp),
+		e, err := benchCodecKind(m, iters)
+		if err != nil {
+			return err
+		}
+		report.Codec = append(report.Codec, e)
 	}
 
 	kernels, err := benchKernels(quick)
@@ -479,12 +435,8 @@ func runWireBench(quick bool, path string, out func(string)) error {
 	if err != nil {
 		return fmt.Errorf("wire bench: sequential reference: %w", err)
 	}
-	for _, codec := range []string{transport.CodecBinary, transport.CodecGob} {
-		e, err := runWireSession(codec, quick, ref)
-		if err != nil {
-			return fmt.Errorf("wire bench: %s session: %w", codec, err)
-		}
-		report.Sessions = append(report.Sessions, e)
+	if report.Session, err = runWireSession(quick, ref); err != nil {
+		return fmt.Errorf("wire bench: session: %w", err)
 	}
 
 	// The kernel × codec session matrix: every gradient codec end to end
@@ -540,20 +492,16 @@ func ratio(a, b float64) float64 {
 
 // renderWireBench formats the report for the terminal.
 func renderWireBench(r wireBenchReport, path string) string {
-	s := fmt.Sprintf("Wire codec fast path (wrote %s)\n", path)
-	s += fmt.Sprintf("%-8s %-12s %12s %14s %14s %14s %14s\n",
-		"codec", "kind", "frame-bytes", "enc-ns/op", "enc-B/op", "dec-ns/op", "dec-B/op")
+	s := fmt.Sprintf("Binary wire codec fast path (wrote %s)\n", path)
+	s += fmt.Sprintf("%-12s %12s %14s %14s %14s %14s\n",
+		"kind", "frame-bytes", "enc-ns/op", "enc-B/op", "dec-ns/op", "dec-B/op")
 	for _, e := range r.Codec {
-		s += fmt.Sprintf("%-8s %-12s %12d %14.0f %14.0f %14.0f %14.0f\n",
-			e.Codec, e.Kind, e.FrameBytes, e.EncodeNsOp, e.EncodeBOp, e.DecodeNsOp, e.DecodeBOp)
+		s += fmt.Sprintf("%-12s %12d %14.0f %14.0f %14.0f %14.0f\n",
+			e.Kind, e.FrameBytes, e.EncodeNsOp, e.EncodeBOp, e.DecodeNsOp, e.DecodeBOp)
 	}
-	s += fmt.Sprintf("iter-start binary vs gob: encode %.1fx faster / %.0fx fewer bytes allocated, decode %.1fx faster / %.0fx fewer\n",
-		r.Summary.EncodeSpeedup, r.Summary.EncodeAllocRatio, r.Summary.DecodeSpeedup, r.Summary.DecodeAllocRatio)
-	s += fmt.Sprintf("%-8s %8s %8s %12s %s\n", "codec", "workers", "iters", "tokens/s", "bit-identical")
-	for _, e := range r.Sessions {
-		s += fmt.Sprintf("%-8s %8d %8d %12.1f %v\n",
-			e.Codec, e.Workers, e.Iterations, e.TokensPerSec, e.BitIdentical)
-	}
+	e := r.Session
+	s += fmt.Sprintf("%8s %8s %12s %s\n", "workers", "iters", "tokens/s", "bit-identical")
+	s += fmt.Sprintf("%8d %8d %12.1f %v\n", e.Workers, e.Iterations, e.TokensPerSec, e.BitIdentical)
 	s += fmt.Sprintf("\nCompute kernels (serial vs parallel matmul, %d core(s))\n", r.Summary.Cores)
 	s += fmt.Sprintf("%-14s %14s %14s %8s\n", "shape", "serial-ns/op", "parallel-ns/op", "speedup")
 	for _, e := range r.Kernels {

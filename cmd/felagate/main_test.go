@@ -32,7 +32,7 @@ func startPoolWorkers(t *testing.T, addr string, n int) {
 	for i := 0; i < n; i++ {
 		go func() {
 			dial := func() (transport.Conn, error) {
-				return transport.DialRetryCodec(addr, 50, 20*time.Millisecond, transport.DefaultCodec)
+				return transport.DialRetry(addr, 50, 20*time.Millisecond)
 			}
 			_, _ = jobs.RunPoolWorker(dial, jobs.PoolWorkerOptions{})
 		}()
@@ -64,7 +64,6 @@ func TestRunServesAndDrains(t *testing.T) {
 	o := gateOpts{
 		addr:         freeAddr(t),
 		poolAddr:     freeAddr(t),
-		codec:        transport.DefaultCodec,
 		shards:       2,
 		alloc:        "fair-share",
 		drainTimeout: 20 * time.Second,
@@ -143,7 +142,6 @@ func TestRunDrainShedsSubmissions(t *testing.T) {
 	o := gateOpts{
 		addr:         freeAddr(t),
 		poolAddr:     freeAddr(t),
-		codec:        transport.DefaultCodec,
 		shards:       1,
 		alloc:        "fair-share",
 		drainTimeout: 10 * time.Second,
@@ -155,6 +153,23 @@ func TestRunDrainShedsSubmissions(t *testing.T) {
 	waitHealthy(t, base)
 
 	sig <- syscall.SIGTERM
+	// The signal is only queued: wait until the gateway reports the
+	// drain (or is already gone), or the submit below can beat it.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		resp, err := http.Get(base + "/healthz")
+		if err != nil {
+			break
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("gateway never started draining after SIGTERM")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	// With nothing in flight the drain races us to shutdown; a refused
 	// connection is as correct as a 503.
 	for {
@@ -179,13 +194,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(gateOpts{shards: 0}, nil); err == nil {
 		t.Fatal("shards=0 accepted")
 	}
-	if err := run(gateOpts{shards: 1, codec: "nope"}, nil); err == nil {
-		t.Fatal("bad codec accepted")
-	}
-	if err := run(gateOpts{shards: 1, codec: transport.DefaultCodec, alloc: "nope"}, nil); err == nil {
+	if err := run(gateOpts{shards: 1, alloc: "nope"}, nil); err == nil {
 		t.Fatal("bad alloc accepted")
 	}
-	o := gateOpts{shards: 1, codec: transport.DefaultCodec, alloc: "fair-share", admission: "nope"}
+	o := gateOpts{shards: 1, alloc: "fair-share", admission: "nope"}
 	if err := run(o, nil); err == nil {
 		t.Fatal("bad admission accepted")
 	}
@@ -199,7 +211,6 @@ func TestRunDrainDeadlineWithStuckJob(t *testing.T) {
 	o := gateOpts{
 		addr:         freeAddr(t),
 		poolAddr:     freeAddr(t),
-		codec:        transport.DefaultCodec,
 		shards:       1,
 		alloc:        "fair-share",
 		drainTimeout: 500 * time.Millisecond,

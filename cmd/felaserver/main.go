@@ -143,8 +143,6 @@ func main() {
 		"jobs: replay this JSONL arrival trace against the pool, print a cluster summary, then drain")
 	traceScale := flag.Float64("trace-scale", 1,
 		"jobs: speed multiplier for -cluster-trace replay (2 = twice as fast)")
-	codec := flag.String("codec", transport.DefaultCodec,
-		"wire codec (binary or gob); every felaworker must use the same value")
 	compressName := flag.String("compress", "",
 		"gradient compression to permit on the report path (exact, fp16, int8, topk; empty = exact). A worker requesting the same codec gets it; everyone else degrades to lossless. Lossy codecs skip the bit-identity verification and report the convergence delta instead")
 	kernelPar := flag.Int("kernel-par", 0,
@@ -170,8 +168,6 @@ func main() {
 	compress, cerr := transport.ParseCompression(*compressName)
 	if cerr != nil {
 		err = cerr
-	} else if !transport.ValidCodec(*codec) {
-		err = fmt.Errorf("unknown codec %q (want %s or %s)", *codec, transport.CodecBinary, transport.CodecGob)
 	} else {
 		var plane *durable.Plane
 		if plane, err = openDurable(*durableDir, *standby); err == nil {
@@ -184,10 +180,10 @@ func main() {
 					trace:      *clusterTrace,
 					traceScale: *traceScale,
 				}
-				err = runJobs(*addr, *codec, jo, *workerTimeout, oo, du, nil, *drainTimeout)
+				err = runJobs(*addr, jo, *workerTimeout, oo, du, nil, *drainTimeout)
 			} else {
 				opts := elasticOpts{enabled: *elasticMode, minWorkers: *minWorkers, maxWorkers: *maxWorkers}
-				err = run(*addr, *codec, *workers, *iters, *workerTimeout, opts, oo, du, nil, *drainTimeout, compress)
+				err = run(*addr, *workers, *iters, *workerTimeout, opts, oo, du, nil, *drainTimeout, compress)
 			}
 			if plane != nil {
 				if cerr := plane.Close(); err == nil {
@@ -288,7 +284,7 @@ func signalChan(sig <-chan os.Signal) (<-chan os.Signal, func()) {
 // returns nil for a clean exit. With du.plane set, every scheduling
 // decision write-aheads through the ledger and open jobs from a prior
 // incarnation are restored before the listener opens.
-func runJobs(addr, codec string, jo jobsOpts, workerTimeout time.Duration, oo obsOpts, du durableOpts, sig <-chan os.Signal, drainTimeout time.Duration) error {
+func runJobs(addr string, jo jobsOpts, workerTimeout time.Duration, oo obsOpts, du durableOpts, sig <-chan os.Signal, drainTimeout time.Duration) error {
 	if drainTimeout <= 0 {
 		drainTimeout = 30 * time.Second
 	}
@@ -409,7 +405,7 @@ func runJobs(addr, codec string, jo jobsOpts, workerTimeout time.Duration, oo ob
 		fmt.Printf("felaserver: telemetry on http://%s (/metrics /statusz /trace /debug/pprof)\n", bound)
 	}
 
-	l, err := transport.ListenCodec(addr, codec)
+	l, err := transport.Listen(addr)
 	if err != nil {
 		mgr.Stop()
 		<-mgr.Done()
@@ -525,7 +521,7 @@ func runJobs(addr, codec string, jo jobsOpts, workerTimeout time.Duration, oo ob
 // With du.plane set the session checkpoints through the durability
 // plane and resumes from the latest checkpoint on boot; /healthz
 // serves 503 "restoring" until the initial worker set has rejoined.
-func run(addr, codec string, workers, iters int, workerTimeout time.Duration, opts elasticOpts, oo obsOpts, du durableOpts, sig <-chan os.Signal, drainTimeout time.Duration, compress transport.Compression) error {
+func run(addr string, workers, iters int, workerTimeout time.Duration, opts elasticOpts, oo obsOpts, du durableOpts, sig <-chan os.Signal, drainTimeout time.Duration, compress transport.Compression) error {
 	if drainTimeout <= 0 {
 		drainTimeout = 30 * time.Second
 	}
@@ -615,12 +611,12 @@ func run(addr, codec string, workers, iters int, workerTimeout time.Duration, op
 		defer stop()
 		fmt.Printf("felaserver: telemetry on http://%s (/metrics /statusz /trace /debug/pprof)\n", bound)
 	}
-	l, err := transport.ListenCodec(addr, codec)
+	l, err := transport.Listen(addr)
 	if err != nil {
 		return err
 	}
 	defer l.Close()
-	fmt.Printf("felaserver: listening on %s (%s codec), waiting for %d workers\n", l.Addr(), codec, workers)
+	fmt.Printf("felaserver: listening on %s, waiting for %d workers\n", l.Addr(), workers)
 
 	sigCh, stopSig := signalChan(sig)
 	defer stopSig()

@@ -73,7 +73,7 @@ func TestServerStrictSession(t *testing.T) {
 	for wid := 0; wid < workers; wid++ {
 		startWorker(t, addr, wid, workers, iters, cfg, &wg)
 	}
-	if err := run(addr, transport.DefaultCodec, workers, iters, 0, elasticOpts{}, obsOpts{}, durableOpts{}, nil, 0, transport.CompressExact); err != nil {
+	if err := run(addr, workers, iters, 0, elasticOpts{}, obsOpts{}, durableOpts{}, nil, 0, transport.CompressExact); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -128,7 +128,7 @@ func TestServerElasticSession(t *testing.T) {
 		joined <- assigned
 	}()
 
-	if err := run(addr, transport.DefaultCodec, workers, iters, 2*time.Second, elasticOpts{enabled: true, minWorkers: 1}, obsOpts{}, durableOpts{}, nil, 0, transport.CompressExact); err != nil {
+	if err := run(addr, workers, iters, 2*time.Second, elasticOpts{enabled: true, minWorkers: 1}, obsOpts{}, durableOpts{}, nil, 0, transport.CompressExact); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -139,7 +139,7 @@ func TestServerElasticSession(t *testing.T) {
 
 // TestServerElasticValidation: nonsensical elastic bounds fail fast.
 func TestServerElasticValidation(t *testing.T) {
-	err := run(freeAddr(t), transport.DefaultCodec, 2, 4, time.Second, elasticOpts{enabled: true, minWorkers: 5, maxWorkers: 2}, obsOpts{}, durableOpts{}, nil, 0, transport.CompressExact)
+	err := run(freeAddr(t), 2, 4, time.Second, elasticOpts{enabled: true, minWorkers: 5, maxWorkers: 2}, obsOpts{}, durableOpts{}, nil, 0, transport.CompressExact)
 	if err == nil {
 		t.Fatal("min-workers > max-workers accepted")
 	}
@@ -208,7 +208,7 @@ func TestServerObservabilityE2E(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		done <- run(addr, transport.DefaultCodec, workers, iters, 2*time.Second,
+		done <- run(addr, workers, iters, 2*time.Second,
 			elasticOpts{enabled: true, minWorkers: 1},
 			obsOpts{statusAddr: statusAddr, traceJSON: traceJSON}, durableOpts{}, nil, 0, transport.CompressExact)
 	}()
@@ -367,27 +367,37 @@ poll:
 // three `felaworker -pool` processes and two concurrent wire
 // submissions on the same port. The server exits on its own after the
 // second completion, both submitters get final parameters bit-identical
-// to solo training, and every pool worker exits cleanly.
+// to solo training, and every pool worker exits cleanly within 5 s of
+// the drain.
 func TestServerJobsMode(t *testing.T) {
 	addr := freeAddr(t)
 
 	done := make(chan error, 1)
 	go func() {
-		done <- runJobs(addr, transport.DefaultCodec,
+		done <- runJobs(addr,
 			jobsOpts{alloc: "throughput-max", maxJobs: 2}, 2*time.Second, obsOpts{}, durableOpts{}, nil, 0)
 	}()
 
 	const poolWorkers = 3
 	workersDone := make(chan error, poolWorkers)
-	dial := func() (transport.Conn, error) {
-		return transport.DialRetry(addr, 50, 20*time.Millisecond)
-	}
+	// Jobs are submitted only once every worker's first dial has
+	// returned: a worker still backing off toward a listener that has
+	// not bound yet is not in the pool, and no drain can reach it.
+	var connected sync.WaitGroup
+	connected.Add(poolWorkers)
 	for i := 0; i < poolWorkers; i++ {
+		var first sync.Once
+		dial := func() (transport.Conn, error) {
+			c, err := transport.DialRetry(addr, 50, 20*time.Millisecond)
+			first.Do(connected.Done)
+			return c, err
+		}
 		go func() {
 			_, err := jobs.RunPoolWorker(dial, jobs.PoolWorkerOptions{})
 			workersDone <- err
 		}()
 	}
+	connected.Wait()
 
 	specs := []transport.JobSpec{
 		{Name: "tcp-a", Iterations: 12, TotalBatch: 64, TokenBatch: 8, Seed: 0},
@@ -430,9 +440,17 @@ func TestServerJobsMode(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("server did not drain after -max-jobs completions")
 	}
+	// The drain tells every pool worker the pool closed, so none is
+	// left redialing a closed listener through its retry budget.
+	exitBy := time.After(5 * time.Second)
 	for i := 0; i < poolWorkers; i++ {
-		if err := <-workersDone; err != nil {
-			t.Errorf("pool worker: %v", err)
+		select {
+		case err := <-workersDone:
+			if err != nil {
+				t.Errorf("pool worker: %v", err)
+			}
+		case <-exitBy:
+			t.Fatalf("%d of %d pool workers still running 5s after the server drained", poolWorkers-i, poolWorkers)
 		}
 	}
 }
@@ -457,7 +475,7 @@ func TestServerClusterTrace(t *testing.T) {
 	addr := freeAddr(t)
 	done := make(chan error, 1)
 	go func() {
-		done <- runJobs(addr, transport.DefaultCodec, jobsOpts{
+		done <- runJobs(addr, jobsOpts{
 			alloc: "oasis", admission: "oasis", trace: path, traceScale: 4,
 		}, 2*time.Second, obsOpts{}, durableOpts{}, nil, 0)
 	}()
@@ -547,7 +565,7 @@ func TestJobsModeGracefulShutdown(t *testing.T) {
 	sig := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- runJobs(addr, transport.DefaultCodec, jobsOpts{alloc: "fair-share"},
+		done <- runJobs(addr, jobsOpts{alloc: "fair-share"},
 			2*time.Second, obsOpts{}, durableOpts{}, sig, 10*time.Second)
 	}()
 
@@ -585,7 +603,7 @@ func TestSessionModeSignalBeforeWorkers(t *testing.T) {
 	sig := make(chan os.Signal, 1)
 	done := make(chan error, 1)
 	go func() {
-		done <- run(addr, transport.DefaultCodec, 4, 4, 0, elasticOpts{}, obsOpts{}, durableOpts{}, sig, time.Second, transport.CompressExact)
+		done <- run(addr, 4, 4, 0, elasticOpts{}, obsOpts{}, durableOpts{}, sig, time.Second, transport.CompressExact)
 	}()
 	// Wait until the listener is up so the signal lands mid-wait.
 	deadline := time.Now().Add(5 * time.Second)
@@ -639,7 +657,7 @@ func TestServerDurableSessionResume(t *testing.T) {
 	for wid := 0; wid < 2; wid++ {
 		startWorker(t, addr, wid, 2, 4, cfg4, &wg)
 	}
-	if err := run(addr, transport.DefaultCodec, 2, 4, 0, elasticOpts{}, obsOpts{}, du, nil, 0, transport.CompressExact); err != nil {
+	if err := run(addr, 2, 4, 0, elasticOpts{}, obsOpts{}, du, nil, 0, transport.CompressExact); err != nil {
 		t.Fatalf("phase 1: %v", err)
 	}
 	wg.Wait()
@@ -656,7 +674,7 @@ func TestServerDurableSessionResume(t *testing.T) {
 	statusAddr := freeAddr(t)
 	done := make(chan error, 1)
 	go func() {
-		done <- run(addr, transport.DefaultCodec, 2, 8, 0, elasticOpts{}, obsOpts{statusAddr: statusAddr}, du, nil, 0, transport.CompressExact)
+		done <- run(addr, 2, 8, 0, elasticOpts{}, obsOpts{statusAddr: statusAddr}, du, nil, 0, transport.CompressExact)
 	}()
 
 	// Before any worker reconnects the health gate must hold: 503 with
@@ -714,7 +732,7 @@ func TestServerDurableSessionResume(t *testing.T) {
 		t.Fatalf("ledger history: joins=%d barriers=%d last=%d, want 4 joins, >=3 barriers ending at 7",
 			joins, barriers, lastBarrier)
 	}
-	if err := run(freeAddr(t), transport.DefaultCodec, 2, 8, 0, elasticOpts{}, obsOpts{}, du, nil, 0, transport.CompressExact); err != nil {
+	if err := run(freeAddr(t), 2, 8, 0, elasticOpts{}, obsOpts{}, du, nil, 0, transport.CompressExact); err != nil {
 		t.Fatalf("phase 3: %v", err)
 	}
 }

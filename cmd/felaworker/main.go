@@ -79,10 +79,8 @@ func main() {
 	pool := flag.Bool("pool", false, "register with a felaserver -jobs pool and serve assigned jobs until shutdown")
 	statusAddr := flag.String("status-addr", "",
 		"serve worker-side telemetry (/metrics, /statusz, /trace, /debug/pprof) on this address (empty = off)")
-	codec := flag.String("codec", transport.DefaultCodec,
-		"wire codec (binary or gob); must match the felaserver's -codec")
 	compressName := flag.String("compress", "",
-		"gradient compression to request for reports (exact, fp16, int8, topk; empty = exact). Engages only when the felaserver permits the same codec and the wire codec is binary; lossy codecs trade the bit-identical guarantee for smaller reports")
+		"gradient compression to request for reports (exact, fp16, int8, topk; empty = exact). Engages only when the felaserver permits the same codec; lossy codecs trade the bit-identical guarantee for smaller reports")
 	kernelPar := flag.Int("kernel-par", 0,
 		"compute-kernel fan-out: goroutines per matmul/conv (0 = GOMAXPROCS, 1 = serial)")
 	flag.Parse()
@@ -97,12 +95,10 @@ func main() {
 	compress, cerr := transport.ParseCompression(*compressName)
 	if cerr != nil {
 		err = cerr
-	} else if !transport.ValidCodec(*codec) {
-		err = fmt.Errorf("unknown codec %q (want %s or %s)", *codec, transport.CodecBinary, transport.CodecGob)
 	} else if *pool {
-		err = runPool(*addr, *codec, *sleepMS, *retries, *statusAddr)
+		err = runPool(*addr, *sleepMS, *retries, *statusAddr)
 	} else {
-		err = run(*addr, *codec, *wid, *workers, *iters, *sleepMS, *retries, *join, *drainAfter, *reconnect, *statusAddr, compress)
+		err = run(*addr, *wid, *workers, *iters, *sleepMS, *retries, *join, *drainAfter, *reconnect, *statusAddr, compress)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "felaworker:", err)
@@ -114,7 +110,7 @@ func main() {
 // jobs until the pool shuts down, reconnecting between jobs and after
 // migrations. The session parameters come from each assignment's
 // JobSpec, so no -workers/-iters agreement is needed.
-func runPool(addr, codec string, sleepMS, retries int, statusAddr string) error {
+func runPool(addr string, sleepMS, retries int, statusAddr string) error {
 	opts := jobs.PoolWorkerOptions{
 		Log: func(format string, args ...any) {
 			fmt.Printf("felaworker: "+format+"\n", args...)
@@ -139,7 +135,7 @@ func runPool(addr, codec string, sleepMS, retries int, statusAddr string) error 
 		fmt.Printf("felaworker: telemetry on http://%s\n", bound)
 	}
 	dial := func() (transport.Conn, error) {
-		return transport.DialRetryCodec(addr, retries, 100*time.Millisecond, codec)
+		return transport.DialRetry(addr, retries, 100*time.Millisecond)
 	}
 	served, err := jobs.RunPoolWorker(dial, opts)
 	if err != nil {
@@ -149,7 +145,7 @@ func runPool(addr, codec string, sleepMS, retries int, statusAddr string) error 
 	return nil
 }
 
-func run(addr, codec string, wid, workers, iters, sleepMS, retries int, join bool, drainAfter int, reconnect bool, statusAddr string, compress transport.Compression) error {
+func run(addr string, wid, workers, iters, sleepMS, retries int, join bool, drainAfter int, reconnect bool, statusAddr string, compress transport.Compression) error {
 	cfg := rt.Config{
 		Workers:    workers,
 		TotalBatch: 64,
@@ -171,7 +167,7 @@ func run(addr, codec string, wid, workers, iters, sleepMS, retries int, join boo
 	net := minidnn.NewMLP(42, 16, 32, 4)
 	ds := minidnn.SyntheticBlobs(7, 256, 16, 4)
 
-	conn, err := transport.DialRetryCodec(addr, retries, 100*time.Millisecond, codec)
+	conn, err := transport.DialRetry(addr, retries, 100*time.Millisecond)
 	if err != nil {
 		return err
 	}
@@ -241,7 +237,7 @@ func run(addr, codec string, wid, workers, iters, sleepMS, retries int, join boo
 		// registration delivers the resumed model snapshot.
 		conn.Close()
 		fmt.Printf("felaworker %d: coordinator lost (%v), reconnecting\n", wid, err)
-		conn, err = transport.DialRetryCodec(addr, retries, 100*time.Millisecond, codec)
+		conn, err = transport.DialRetry(addr, retries, 100*time.Millisecond)
 		if err != nil {
 			return err
 		}

@@ -21,7 +21,7 @@ import (
 	"fela/internal/transport"
 )
 
-func mk() *minidnn.Network  { return minidnn.NewMLP(42, 16, 32, 4) }
+func mk() *minidnn.Network   { return minidnn.NewMLP(42, 16, 32, 4) }
 func data() *minidnn.Dataset { return minidnn.SyntheticBlobs(7, 256, 16, 4) }
 
 func main() {
@@ -35,7 +35,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	tr := &trace.Trace{}
 	cfg := rt.Config{
 		Workers:       2,
 		TotalBatch:    64,
@@ -44,7 +43,6 @@ func run() error {
 		LR:            0.05,
 		WorkerTimeout: 2 * time.Second,
 		Elastic:       ctrl,
-		Trace:         tr,
 		// The founding workers yield a little each iteration so the
 		// joiners demonstrably train; workers 0, 2 and 3 drain out at
 		// iteration 8, scaling the session down to worker 1 alone.
@@ -106,6 +104,14 @@ func run() error {
 	}
 	fmt.Printf("final shares: %v\n", ret.Shares())
 
+	tr := &trace.Trace{}
+	for _, ev := range res.Scales {
+		kind := trace.Leave
+		if ev.Kind == metrics.ScaleJoin {
+			kind = trace.Join
+		}
+		tr.AddPoint(kind, ev.Worker, ev.Time, ev.Kind)
+	}
 	fmt.Println("\ntimeline (J=join L=leave):")
 	fmt.Println(tr.Timeline(76))
 

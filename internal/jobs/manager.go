@@ -224,6 +224,9 @@ type Manager struct {
 	order    []*job // queued + running, arrival order
 	doneTail []*job // most recent completions, bounded
 	idle     []transport.Conn
+	// away counts workers handed a job that have not re-registered with
+	// the pool since; the drain waits for them so they hear a shutdown.
+	away     int
 	closing  bool
 	finished int
 	rejected int
@@ -343,8 +346,11 @@ func (m *Manager) SubmitJob(spec transport.JobSpec, opts SubmitOptions) (int, <-
 func (m *Manager) Cancel(id int) { m.push(evCancel{jobID: id}) }
 
 // Stop begins a graceful shutdown: no new submissions are accepted,
-// queued and running jobs finish, idle workers are then shut down and
-// Done closes.
+// queued and running jobs finish, and every idle worker — including
+// each worker re-registering after its last session — is sent a
+// shutdown. Done closes once no worker is still away in a job, or
+// rejoinGrace after the last job ended, so a worker never redials a
+// listener its owner has already closed.
 func (m *Manager) Stop() { m.stop.Do(func() { close(m.quit) }) }
 
 // Done closes once the manager has fully drained after Stop.
@@ -387,10 +393,16 @@ func discard(ev any) {
 	}
 }
 
+// rejoinGrace bounds how long a drained pool waits for workers still
+// away in a job to re-register: one that has not come back by then is
+// presumed dead.
+const rejoinGrace = 2 * time.Second
+
 func (m *Manager) loop() {
 	tick := time.NewTicker(m.cfg.Tick)
 	defer tick.Stop()
 	quit := m.quit
+	var rejoinDeadline <-chan time.Time
 	for {
 		select {
 		case ev := <-m.events:
@@ -419,6 +431,8 @@ func (m *Manager) loop() {
 			m.closing = true
 			m.changed = true
 			m.walOr(durable.Entry{Op: durable.OpDrain, WID: -1})
+		case <-rejoinDeadline:
+			m.away = 0
 		}
 		if m.closing && len(m.order) == 0 {
 			for _, c := range m.idle {
@@ -426,6 +440,13 @@ func (m *Manager) loop() {
 				c.Close()
 			}
 			m.idle = nil
+			if m.away > 0 {
+				if rejoinDeadline == nil {
+					rejoinDeadline = time.After(rejoinGrace)
+				}
+				m.publishIfDue()
+				continue
+			}
 			m.publish()
 			// A push can race the shutdown and land in the events
 			// buffer just as done closes; without a consumer its conn
@@ -499,6 +520,9 @@ func (m *Manager) classify(e evConn) {
 		// that job (a completed migration or a post-job rejoin).
 		if e.msg.JobID > 0 {
 			m.tele.returns.Inc()
+			if m.away > 0 {
+				m.away--
+			}
 		}
 		m.walOr(durable.Entry{Op: durable.OpJoin, JobID: e.msg.JobID, WID: e.msg.WID})
 		m.idle = append(m.idle, e.conn)
@@ -798,8 +822,11 @@ func (m *Manager) assign(c transport.Conn, j *job, wid int) error {
 		return err
 	}
 	if wid >= 0 {
-		return c.Send(&transport.Message{Kind: transport.KindJoin, WID: wid, Iter: 0})
+		if err := c.Send(&transport.Message{Kind: transport.KindJoin, WID: wid, Iter: 0}); err != nil {
+			return err
+		}
 	}
+	m.away++
 	return nil
 }
 

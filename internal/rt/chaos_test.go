@@ -8,7 +8,6 @@ import (
 	"fela/internal/metrics"
 	"fela/internal/minidnn"
 	"fela/internal/obs"
-	"fela/internal/trace"
 	"fela/internal/transport"
 )
 
@@ -281,21 +280,32 @@ func TestChaosHungWorkerClassifiedTimeout(t *testing.T) {
 	}
 }
 
-// TestChaosFaultsAreTraced: fault events land in the configured trace
-// as point events.
+// TestChaosFaultsAreTraced: every fault in the result lands in the
+// session's flight ring as a death event against the same worker.
 func TestChaosFaultsAreTraced(t *testing.T) {
 	cfg := chaosCfg()
-	tr := &trace.Trace{}
-	cfg.Trace = tr
+	cfg.Flight = obs.NewFlightRecorder(1 << 12)
 	res := runChaosSession(t, cfg, 1, script{killOnAssign: true}, nil)
 	assertChaosOutcome(t, cfg, res, 1)
-	faults := tr.ByKind(trace.Fault)
+	faults := flightEvents(cfg.Flight, "death")
 	if len(faults) != len(res.Faults) {
-		t.Fatalf("trace has %d fault events, result has %d", len(faults), len(res.Faults))
+		t.Fatalf("flight ring has %d death events, result has %d", len(faults), len(res.Faults))
 	}
 	if faults[0].Worker != 1 {
-		t.Errorf("fault traced against worker %d, want 1", faults[0].Worker)
+		t.Errorf("fault recorded against worker %d, want 1", faults[0].Worker)
 	}
+}
+
+// flightEvents returns the ring's events with the given name, in
+// record order.
+func flightEvents(f *obs.FlightRecorder, event string) []obs.FlightEvent {
+	var out []obs.FlightEvent
+	for _, ev := range f.Snapshot(0) {
+		if ev.Event == event {
+			out = append(out, ev)
+		}
+	}
+	return out
 }
 
 // TestChaosAllWorkersDie: losing every worker must surface an error,

@@ -13,7 +13,6 @@ import (
 	"fela/internal/metrics"
 	"fela/internal/minidnn"
 	"fela/internal/obs"
-	"fela/internal/trace"
 	"fela/internal/transport"
 )
 
@@ -1089,32 +1088,26 @@ func (co *Coordinator) trainableIDs() []int {
 	return out
 }
 
-// recordFault appends a fault event to the result and the optional
-// trace.
+// recordFault appends a fault event to the result, the faults counter
+// and the flight recorder.
 func (co *Coordinator) recordFault(wid int, phase, class, detail string) {
 	at := time.Since(co.start).Seconds()
 	co.res.Faults = append(co.res.Faults, metrics.FaultEvent{
 		Time: at, Worker: wid, Iter: co.it, Phase: phase, Class: class, Detail: detail,
 	})
 	co.cfg.Metrics.Counter(MetricFaultsTotal, "class", class).Inc()
-	co.cfg.Trace.AddPoint(trace.Fault, wid, at, class+" during "+phase)
 	co.recordFlight("death", wid, co.iterSpan.Context().TraceHex(), class+" during "+phase+": "+detail)
 }
 
-// recordScale appends a membership change to the result and the
-// optional trace. effectIter is the first iteration run under the new
-// membership.
+// recordScale appends a membership change to the result, the scale
+// counter and the flight recorder. effectIter is the first iteration
+// run under the new membership.
 func (co *Coordinator) recordScale(kind string, wid, effectIter int) {
 	at := time.Since(co.start).Seconds()
 	co.res.Scales = append(co.res.Scales, metrics.ScaleEvent{
 		Time: at, Iter: effectIter, Worker: wid, Kind: kind,
 	})
 	co.cfg.Metrics.Counter(MetricScaleTotal, "kind", kind).Inc()
-	tk := trace.Join
-	if kind != metrics.ScaleJoin {
-		tk = trace.Leave
-	}
-	co.cfg.Trace.AddPoint(tk, wid, at, kind)
 	co.recordFlight("scale."+kind, wid, "", "effect_iter="+strconv.Itoa(effectIter))
 }
 

@@ -7,7 +7,7 @@ import (
 
 	"fela/internal/metrics"
 	"fela/internal/minidnn"
-	"fela/internal/trace"
+	"fela/internal/obs"
 	"fela/internal/transport"
 )
 
@@ -359,24 +359,23 @@ func TestElasticJoinRacingDeath(t *testing.T) {
 	}
 }
 
-// TestElasticScalesAreTraced: join and leave marks land in the trace
-// alongside fault marks and render in the timeline legend.
+// TestElasticScalesAreTraced: join and leave marks land in the
+// session's flight ring against the right workers.
 func TestElasticScalesAreTraced(t *testing.T) {
 	pol := &scriptedPolicy{inner: admitAllPolicy{}, admitAt: map[int]int{1: 1}}
 	cfg := elasticCfg(pol, 6)
 	cfg.Drain = func(iter, wid int) bool { return wid == 0 && iter >= 3 }
-	tr := &trace.Trace{}
-	cfg.Trace = tr
+	cfg.Flight = obs.NewFlightRecorder(1 << 12)
 	delayWIDs(&cfg, 1)
 	h := newElasticHarness(t, cfg, 1)
 	res := h.run(t)
 	assertElasticOutcome(t, cfg, res, []string{"join:2", "leave:0"})
-	joins, leaves := tr.ByKind(trace.Join), tr.ByKind(trace.Leave)
+	joins, leaves := flightEvents(cfg.Flight, "scale.join"), flightEvents(cfg.Flight, "scale.leave")
 	if len(joins) != 1 || joins[0].Worker != 2 {
-		t.Errorf("join trace = %v, want one mark for worker 2", joins)
+		t.Errorf("join events = %v, want one for worker 2", joins)
 	}
 	if len(leaves) != 1 || leaves[0].Worker != 0 {
-		t.Errorf("leave trace = %v, want one mark for worker 0", leaves)
+		t.Errorf("leave events = %v, want one for worker 0", leaves)
 	}
 }
 

@@ -34,7 +34,6 @@ import (
 	"fela/internal/minidnn"
 	"fela/internal/obs"
 	"fela/internal/tensor"
-	"fela/internal/trace"
 	"fela/internal/transport"
 )
 
@@ -101,9 +100,6 @@ type Config struct {
 	// time (plus any injected Delay), or healthy stragglers will be
 	// shot.
 	WorkerTimeout time.Duration
-	// Trace, when set, receives a Fault point event per detected
-	// worker fault (wall-clock seconds since session start).
-	Trace *trace.Trace
 	// Metrics, when set, receives live telemetry from this side of the
 	// session (internal/obs): token latency histograms, per-worker rate
 	// EWMAs and straggler scores on the coordinator; compute/fetch

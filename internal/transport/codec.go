@@ -5,8 +5,8 @@ package transport
 // exists because the hot path of a training session is dominated by two
 // message families — the per-iteration parameter broadcast (KindIterStart)
 // and the per-token gradient report (KindReport) — whose payloads are
-// megabytes of float32. Reflection-driven gob encodes those one value at
-// a time and allocates a fresh tree on every decode; the binary codec
+// megabytes of float32. A reflection-driven encoder handles those one
+// value at a time and allocates a fresh tree on every decode; this codec
 // copies them 4 bytes at a time from (and into) pooled buffers, so the
 // wire path stays bandwidth-bound instead of codec- and GC-bound.
 //
@@ -56,23 +56,13 @@ import (
 	"fela/internal/obs"
 )
 
-// Codec names accepted by ListenCodec/DialCodec and the cmds' -codec
-// flag.
-const (
-	// CodecBinary is the length-prefixed binary frame format above —
-	// the default.
-	CodecBinary = "binary"
-	// CodecGob is the reflection-driven gob stream the transport
-	// originally shipped with. It stays reachable so old fuzz corpora
-	// and cross-version runs remain exercisable.
-	CodecGob = "gob"
-)
+// CodecBinary names the length-prefixed binary frame format above, the
+// only wire codec TCP connections speak. It is the one name ListenCodec
+// and DialCodec accept, and the codec label on the codec metrics.
+const CodecBinary = "binary"
 
-// DefaultCodec is what Listen and Dial use.
-const DefaultCodec = CodecBinary
-
-// ValidCodec reports whether name names a supported wire codec.
-func ValidCodec(name string) bool { return name == CodecBinary || name == CodecGob }
+// ValidCodec reports whether name names the supported wire codec.
+func ValidCodec(name string) bool { return name == CodecBinary }
 
 const (
 	frameMagic0  = 0xFE
@@ -135,10 +125,11 @@ type codecStats struct {
 	compRatio         [compressCount]*obs.Gauge
 }
 
-func newCodecStats(reg *obs.Registry, codec string) *codecStats {
+func newCodecStats(reg *obs.Registry) *codecStats {
 	if reg == nil {
 		return nil
 	}
+	const codec = CodecBinary
 	reg.Help(MetricCodecOps, "Codec encode/decode invocations by op, codec and message kind.")
 	reg.Help(MetricCodecBytes, "Wire bytes encoded/decoded by op and codec.")
 	reg.Help(MetricCodecSecs, "Codec encode/decode latency in seconds by op and codec.")
@@ -256,13 +247,13 @@ func getFloatArena(n int) *[]float32 {
 
 // Release returns the message's pooled float backing (if any) to the
 // codec pool and clears Grads/Params. Only the binary decoder attaches
-// pooled backing, so Release is a safe no-op on messages built by hand,
-// decoded from gob, or delivered by reference over the in-memory
-// transport. Ownership rule: the goroutine that consumed the payload —
-// the coordinator after folding a report into its gradient arena, the
-// worker after installing broadcast parameters — calls Release exactly
-// once; the Grads/Params slices must not be used afterwards. Messages
-// that are never released are simply garbage collected.
+// pooled backing, so Release is a safe no-op on messages built by hand
+// or delivered by reference over the in-memory transport. Ownership
+// rule: the goroutine that consumed the payload — the coordinator after
+// folding a report into its gradient arena, the worker after installing
+// broadcast parameters — calls Release exactly once; the Grads/Params
+// slices must not be used afterwards. Messages that are never released
+// are simply garbage collected.
 func (m *Message) Release() {
 	if m == nil || m.pooled == nil {
 		return
@@ -648,12 +639,11 @@ func decodePayload(kind Kind, payload []byte) (*Message, error) {
 
 // Broadcast wraps a message whose encoded frame is shared across many
 // sends — the coordinator's per-iteration parameter broadcast. The first
-// binary-codec send encodes the frame exactly once; every other
-// recipient (including elastic joiners snapshotting at the same barrier)
-// receives the identical cached bytes. Transports without a reusable
-// frame representation (gob streams carry per-stream type state, the
-// in-memory pair delivers pointers) fall back to an ordinary Send of
-// Msg. The cached frame is immutable once built and is garbage collected
+// TCP send encodes the frame exactly once; every other recipient
+// (including elastic joiners snapshotting at the same barrier) receives
+// the identical cached bytes. The in-memory pair, which delivers
+// pointers rather than frames, falls back to an ordinary Send of Msg.
+// The cached frame is immutable once built and is garbage collected
 // with the Broadcast — it is deliberately not pooled, because queued
 // async senders may still reference it after the fan-out loop returns.
 type Broadcast struct {

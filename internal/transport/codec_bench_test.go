@@ -55,31 +55,6 @@ func BenchmarkCodecBinaryDecode(b *testing.B) {
 	}
 }
 
-func BenchmarkCodecGobEncode(b *testing.B) {
-	m := benchIterStart(benchFloats)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := EncodeFrame(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCodecGobDecode(b *testing.B) {
-	data, err := EncodeFrame(benchIterStart(benchFloats))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeFrame(data); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkCodecBinaryEncodeSmall covers the tiny control messages
 // (request/assign/report headers) where fixed overhead, not bulk float
 // copying, dominates.

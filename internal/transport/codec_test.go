@@ -14,6 +14,29 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the committed binary golden frames")
 
+// sampleMessages returns one representative message per protocol kind.
+func sampleMessages() []*Message {
+	return []*Message{
+		{Kind: KindRegister, WID: 3},
+		{Kind: KindRequest, WID: 1, Iter: 4},
+		{Kind: KindAssign, Iter: 2, Token: TokenInfo{ID: 17, Seq: 3, Lo: 24, Hi: 32, Owner: 1}},
+		{Kind: KindReport, WID: 2, Iter: 5, Token: TokenInfo{ID: 9, Seq: 1, Lo: 8, Hi: 16, Owner: 0},
+			Grads: [][]float32{{1.5, -2.25}, {0.125}}, Loss: 0.75},
+		{Kind: KindIterStart, Iter: 7, Params: [][]float32{{3, 1, 4}, {1, 5}}},
+		{Kind: KindShutdown},
+		{Kind: KindJoin, WID: 5, Iter: 3},
+		{Kind: KindLeave, WID: 2},
+		{Kind: KindDrainAck, WID: 2, Iter: 6},
+		{Kind: KindSubmitJob, JobID: 2, Job: JobSpec{
+			Name: "big", Model: "mlp-small", Seed: 11, Iterations: 30,
+			TotalBatch: 128, TokenBatch: 8, LR: 0.05, Momentum: 0.5,
+			MinWorkers: 1, MaxWorkers: 4, Priority: 2,
+		}},
+		{Kind: KindJobDone, JobID: 2, Loss: 0.375, Params: [][]float32{{1, 2}, {3}}, Err: "spec rejected"},
+		{Kind: KindReassign, WID: 3, Iter: 9},
+	}
+}
+
 // TestBinaryRoundTripAllKinds encodes and decodes one message of every
 // kind through the binary codec and checks full structural equality.
 func TestBinaryRoundTripAllKinds(t *testing.T) {
@@ -66,37 +89,6 @@ func TestBinaryGoldenFrames(t *testing.T) {
 		}
 		if !bytes.Equal(data, want) {
 			t.Errorf("%v: encoded frame differs from committed golden (%d vs %d bytes) — wire format changed without a version bump", m.Kind, len(data), len(want))
-		}
-	}
-}
-
-// TestCrossCodecRoundTrip pushes every sample message through one codec
-// and then the other; the message must survive both paths unchanged.
-// This is what keeps `-codec gob` a faithful fallback.
-func TestCrossCodecRoundTrip(t *testing.T) {
-	for _, m := range sampleMessages() {
-		gobBytes, err := EncodeFrame(m)
-		if err != nil {
-			t.Fatalf("%v: gob encode: %v", m.Kind, err)
-		}
-		viaGob, err := DecodeFrame(gobBytes)
-		if err != nil {
-			t.Fatalf("%v: gob decode: %v", m.Kind, err)
-		}
-		binBytes, err := EncodeBinary(viaGob)
-		if err != nil {
-			t.Fatalf("%v: binary encode of gob-decoded: %v", m.Kind, err)
-		}
-		got, err := DecodeBinary(binBytes)
-		if err != nil {
-			t.Fatalf("%v: binary decode: %v", m.Kind, err)
-		}
-		if got.Kind != m.Kind || got.WID != m.WID || got.Iter != m.Iter ||
-			got.Token != m.Token || got.Loss != m.Loss ||
-			got.Job != m.Job || got.JobID != m.JobID || got.Err != m.Err ||
-			got.Span != m.Span ||
-			!equalSlices(got.Grads, m.Grads) || !equalSlices(got.Params, m.Params) {
-			t.Fatalf("%v: gob→binary mangled: %+v -> %+v", m.Kind, m, got)
 		}
 	}
 }
@@ -243,7 +235,7 @@ func TestReleaseSemantics(t *testing.T) {
 // writes identical bytes.
 func TestBroadcastEncodeOnce(t *testing.T) {
 	reg := obs.NewRegistry()
-	st := newCodecStats(reg, CodecBinary)
+	st := newCodecStats(reg)
 	b := NewBroadcast(&Message{Kind: KindIterStart, Iter: 3, Params: [][]float32{{1, 2, 3, 4}}})
 	var first []byte
 	for i := 0; i < 8; i++ {
@@ -278,7 +270,7 @@ func TestBroadcastEncodeOnce(t *testing.T) {
 // TestTCPBinaryCodecStats runs a message exchange over a real TCP pair
 // and checks the per-codec telemetry counts ops and exact wire bytes.
 func TestTCPBinaryCodecStats(t *testing.T) {
-	for _, codec := range []string{CodecBinary, CodecGob} {
+	for _, codec := range []string{CodecBinary} {
 		t.Run(codec, func(t *testing.T) {
 			l, err := ListenCodec("127.0.0.1:0", codec)
 			if err != nil {
@@ -332,13 +324,9 @@ func TestTCPBinaryCodecStats(t *testing.T) {
 					bytesOut += v
 				}
 			}
-			if codec == CodecBinary {
-				want, _ := EncodeBinary(msg)
-				if bytesOut != int64(len(want)) {
-					t.Fatalf("binary: counted %d encoded bytes, frame is %d", bytesOut, len(want))
-				}
-			} else if bytesOut == 0 {
-				t.Fatal("gob: no encoded bytes counted")
+			want, _ := EncodeBinary(msg)
+			if bytesOut != int64(len(want)) {
+				t.Fatalf("binary: counted %d encoded bytes, frame is %d", bytesOut, len(want))
 			}
 		})
 	}

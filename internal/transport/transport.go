@@ -2,10 +2,8 @@
 // coordinator (Token Server) and workers in the real-time engine
 // (internal/rt). Two transports are provided: an in-memory pair for
 // single-process training and tests, and TCP for genuinely distributed
-// runs (cmd/felaserver, cmd/felaworker). TCP connections speak one of
-// two wire codecs: the length-prefixed binary frame format (codec.go,
-// the default) or the original reflection-driven gob stream, kept as a
-// fallback for old corpora and cross-version runs.
+// runs (cmd/felaserver, cmd/felaworker). TCP connections speak the
+// length-prefixed binary frame format (codec.go).
 //
 // Fault model: connections can time out (per-message send/receive
 // deadlines via SetTimeouts), lose their peer (process crash, network
@@ -18,9 +16,7 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -176,16 +172,14 @@ type Message struct {
 	Span obs.SpanContext
 
 	// pooled, when non-nil, is the codec arena the Grads/Params slices
-	// were carved from; Release returns it. Unexported so gob ignores
-	// it and hand-built messages are never mistaken for pooled ones.
+	// were carved from; Release returns it. Unexported so hand-built
+	// messages are never mistaken for pooled ones.
 	pooled *[]float32
 
 	// gradCodec selects the gradient compression applied to the Grads
 	// section on the binary wire (compress.go); zero is the exact
-	// encoding. Unexported so gob drops it — a gob session silently
-	// degrades to exact, which the negotiation treats as a valid
-	// answer — and so hand-built messages default to exact. Set and
-	// read through SetGradCodec/GradCodec.
+	// encoding. Unexported so hand-built messages default to exact. Set
+	// and read through SetGradCodec/GradCodec.
 	gradCodec Compression
 }
 
@@ -197,7 +191,7 @@ func (m *Message) WireSize() int {
 	if m == nil {
 		return 0
 	}
-	n := 64 // kind, ids, token info, span context, gob framing
+	n := 64 // kind, ids, token info, span context, frame header
 	n += len(m.Err)
 	if m.Job != (JobSpec{}) {
 		n += 48 + len(m.Job.Name) + len(m.Job.Model)
@@ -433,46 +427,12 @@ func (c *memConn) Close() error {
 	return nil
 }
 
-// countingWriter and countingReader give the gob path real wire byte
-// counts for the codec telemetry (the binary path knows its frame sizes
-// exactly).
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (cr *countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.n += int64(n)
-	return n, err
-}
-
-// tcpConn wraps a net.Conn with a wire codec: the binary frame format
-// (codec.go, the default) or the original gob stream.
+// tcpConn wraps a net.Conn with the binary frame codec (codec.go):
+// buffered header reads, writes straight to the socket from a pooled
+// frame buffer.
 type tcpConn struct {
-	conn  net.Conn
-	codec string
-
-	// gob path: stream encoders with byte accounting.
-	enc *gob.Encoder
-	dec *gob.Decoder
-	cw  *countingWriter
-	cr  *countingReader
-
-	// binary path: buffered header reads; writes go straight to the
-	// socket from a pooled frame buffer.
-	br *bufio.Reader
+	conn net.Conn
+	br   *bufio.Reader
 
 	mu sync.Mutex // serializes Send
 
@@ -483,24 +443,14 @@ type tcpConn struct {
 	stats atomic.Pointer[codecStats]
 }
 
-func newTCPConn(c net.Conn, codec string) *tcpConn {
-	tc := &tcpConn{conn: c, codec: codec}
-	switch codec {
-	case CodecGob:
-		tc.cw = &countingWriter{w: c}
-		tc.cr = &countingReader{r: c}
-		tc.enc = gob.NewEncoder(tc.cw)
-		tc.dec = gob.NewDecoder(tc.cr)
-	default:
-		tc.br = bufio.NewReaderSize(c, 1<<16)
-	}
-	return tc
+func newTCPConn(c net.Conn) *tcpConn {
+	return &tcpConn{conn: c, br: bufio.NewReaderSize(c, 1<<16)}
 }
 
 // SetMetrics attaches a registry the conn's codec work is recorded into
 // (per-kind encode/decode ops, wire bytes, latency).
 func (c *tcpConn) SetMetrics(reg *obs.Registry) {
-	c.stats.Store(newCodecStats(reg, c.codec))
+	c.stats.Store(newCodecStats(reg))
 }
 
 // SetTimeouts bounds each subsequent Send and Recv via socket deadlines.
@@ -524,16 +474,6 @@ func (c *tcpConn) Send(m *Message) error {
 			return err
 		}
 	}
-	if c.enc != nil {
-		st := c.stats.Load()
-		start := time.Now()
-		before := c.cw.n
-		if err := c.enc.Encode(m); err != nil {
-			return err
-		}
-		st.encoded(m.Kind, int(c.cw.n-before), start)
-		return nil
-	}
 	st := c.stats.Load()
 	start := time.Now()
 	bp := framePool.Get().(*[]byte)
@@ -550,14 +490,10 @@ func (c *tcpConn) Send(m *Message) error {
 	return werr
 }
 
-// SendBroadcast writes the broadcast's shared frame. On the binary
-// codec the frame is encoded once (by whichever conn sends first) and
-// the cached bytes are written verbatim; gob streams carry per-stream
-// type state and cannot share frames, so they re-encode via Send.
+// SendBroadcast writes the broadcast's shared frame: it is encoded once
+// (by whichever conn sends first) and the cached bytes are written
+// verbatim.
 func (c *tcpConn) SendBroadcast(b *Broadcast) error {
-	if c.enc != nil {
-		return c.Send(b.Msg)
-	}
 	frame, err := b.binaryFrame(c.stats.Load())
 	if err != nil {
 		return err
@@ -573,32 +509,16 @@ func (c *tcpConn) SendBroadcast(b *Broadcast) error {
 	return err
 }
 
+// Recv reads and decodes one frame. The header is validated — magic,
+// version, length bound — before the payload is read, so a garbled
+// stream fails as ClassCodec without a huge allocation, and a stream
+// torn mid-frame fails as ClassPeerGone via io.ErrUnexpectedEOF.
 func (c *tcpConn) Recv() (*Message, error) {
 	if _, recv := c.timeouts(); recv > 0 {
 		if err := c.conn.SetReadDeadline(time.Now().Add(recv)); err != nil {
 			return nil, err
 		}
 	}
-	if c.dec != nil {
-		st := c.stats.Load()
-		start := time.Now()
-		before := c.cr.n
-		m, err := decodeFrom(c.dec)
-		if err != nil {
-			return nil, err
-		}
-		st.decoded(m.Kind, int(c.cr.n-before), start)
-		return m, nil
-	}
-	return c.recvBinary()
-}
-
-// recvBinary reads and decodes one binary frame. The header is
-// validated — magic, version, length bound — before the payload is
-// read, so a garbled stream fails as ClassCodec without a huge
-// allocation, and a stream torn mid-frame fails as ClassPeerGone via
-// io.ErrUnexpectedEOF.
-func (c *tcpConn) recvBinary() (*Message, error) {
 	st := c.stats.Load()
 	start := time.Now()
 	var hdr [frameHeaderV2]byte
@@ -647,67 +567,26 @@ func (c *tcpConn) recvBinary() (*Message, error) {
 
 func (c *tcpConn) Close() error { return c.conn.Close() }
 
-// decodeFrom decodes one message, converting codec failures (including
-// any decoder panic on hostile input) into *CodecError while passing
-// io/net errors through for classification.
-func decodeFrom(dec *gob.Decoder) (m *Message, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			m, err = nil, &CodecError{fmt.Errorf("decode panic: %v", r)}
-		}
-	}()
-	var msg Message
-	if err := dec.Decode(&msg); err != nil {
-		if Classify(err) == ClassUnknown {
-			// Not an io/net condition: the bytes themselves are bad.
-			return nil, &CodecError{err}
-		}
-		return nil, err
-	}
-	return &msg, nil
-}
+// Listener accepts TCP protocol connections.
+type Listener struct{ l net.Listener }
 
-// EncodeFrame renders one message in the wire format (fuzzing, corpus
-// generation, diagnostics).
-func EncodeFrame(m *Message) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodeFrame decodes one message from raw wire bytes. Truncated or
-// garbled input returns an error (never panics) — the property the
-// transport fuzz target locks in.
-func DecodeFrame(data []byte) (*Message, error) {
-	return decodeFrom(gob.NewDecoder(bytes.NewReader(data)))
-}
-
-// Listener accepts TCP protocol connections, all speaking one codec.
-type Listener struct {
-	l     net.Listener
-	codec string
-}
-
-// Listen binds a TCP listener, e.g. on "127.0.0.1:0", speaking
-// DefaultCodec.
+// Listen binds a TCP listener, e.g. on "127.0.0.1:0".
 func Listen(addr string) (*Listener, error) {
-	return ListenCodec(addr, DefaultCodec)
-}
-
-// ListenCodec binds a TCP listener whose accepted connections speak the
-// named wire codec (CodecBinary or CodecGob). Both ends of a connection
-// must agree on the codec.
-func ListenCodec(addr, codec string) (*Listener, error) {
-	if !ValidCodec(codec) {
-		return nil, fmt.Errorf("transport: unknown codec %q", codec)
-	}
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addr, err)
 	}
-	return &Listener{l: l, codec: codec}, nil
+	return &Listener{l: l}, nil
+}
+
+// ListenCodec is Listen for callers that name the wire codec; codec
+// must be CodecBinary. It keeps the signature the benchmark harness
+// (perfbench) calls.
+func ListenCodec(addr, codec string) (*Listener, error) {
+	if !ValidCodec(codec) {
+		return nil, fmt.Errorf("transport: unknown codec %q", codec)
+	}
+	return Listen(addr)
 }
 
 // Addr returns the bound address.
@@ -719,40 +598,36 @@ func (l *Listener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newTCPConn(c, l.codec), nil
+	return newTCPConn(c), nil
 }
 
 // Close stops the listener.
 func (l *Listener) Close() error { return l.l.Close() }
 
-// Dial connects to a coordinator at addr speaking DefaultCodec.
+// Dial connects to a coordinator at addr.
 func Dial(addr string) (Conn, error) {
-	return DialCodec(addr, DefaultCodec)
-}
-
-// DialCodec connects to a coordinator at addr speaking the named wire
-// codec; it must match the listener's.
-func DialCodec(addr, codec string) (Conn, error) {
-	if !ValidCodec(codec) {
-		return nil, fmt.Errorf("transport: unknown codec %q", codec)
-	}
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", addr, err)
 	}
-	return newTCPConn(c, codec), nil
+	return newTCPConn(c), nil
 }
 
-// DialRetry dials addr with DefaultCodec, retrying with exponential
-// backoff (doubling from backoff, capped at 2s) until a connection
-// succeeds or attempts run out. It is how workers ride out a
-// coordinator that has not bound its port yet.
+// DialCodec is Dial for callers that name the wire codec; codec must be
+// CodecBinary. It keeps the signature the benchmark harness (perfbench)
+// calls.
+func DialCodec(addr, codec string) (Conn, error) {
+	if !ValidCodec(codec) {
+		return nil, fmt.Errorf("transport: unknown codec %q", codec)
+	}
+	return Dial(addr)
+}
+
+// DialRetry dials addr, retrying with exponential backoff (doubling
+// from backoff, capped at 2s) until a connection succeeds or attempts
+// run out. It is how workers ride out a coordinator that has not bound
+// its port yet.
 func DialRetry(addr string, attempts int, backoff time.Duration) (Conn, error) {
-	return DialRetryCodec(addr, attempts, backoff, DefaultCodec)
-}
-
-// DialRetryCodec is DialRetry with an explicit wire codec.
-func DialRetryCodec(addr string, attempts int, backoff time.Duration, codec string) (Conn, error) {
 	if attempts <= 0 {
 		attempts = 1
 	}
@@ -766,7 +641,7 @@ func DialRetryCodec(addr string, attempts int, backoff time.Duration, codec stri
 			}
 		}
 		var c Conn
-		if c, err = DialCodec(addr, codec); err == nil {
+		if c, err = Dial(addr); err == nil {
 			return c, nil
 		}
 	}

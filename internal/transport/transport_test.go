@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -145,15 +146,33 @@ func TestTCPRecvAfterPeerClose(t *testing.T) {
 	}
 }
 
+// TestDialFailure: a refused port fails to dial, and a codec name other
+// than CodecBinary is refused even when a listener is up.
 func TestDialFailure(t *testing.T) {
-	if _, err := Dial("127.0.0.1:1"); err == nil {
-		t.Fatal("expected dial error")
+	l, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	cases := []struct {
+		name string
+		open func() (io.Closer, error)
+	}{
+		{"refused", func() (io.Closer, error) { return Dial("127.0.0.1:1") }},
+		{"dial-gob", func() (io.Closer, error) { return DialCodec(l.Addr(), "gob") }},
+		{"listen-gob", func() (io.Closer, error) { return ListenCodec("127.0.0.1:0", "gob") }},
+	}
+	for _, c := range cases {
+		if cl, err := c.open(); err == nil {
+			cl.Close()
+			t.Errorf("%s: expected error", c.name)
+		}
 	}
 }
 
 // TestKindTable is the single source of truth for protocol-kind
 // coverage: one row per kind, checked against Kinds(), Kind.String and
-// the fuzz corpus' sampleMessages — a future kind added to the enum but
+// the codec tests' sampleMessages — a future kind added to the enum but
 // forgotten anywhere else fails here.
 func TestKindTable(t *testing.T) {
 	table := []struct {
